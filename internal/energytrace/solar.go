@@ -79,20 +79,34 @@ func RainyDay() SolarConfig {
 // Generate synthesises one base trace from the config using rng. The result
 // is deterministic for a given rng state.
 func (c SolarConfig) Generate(rng *rand.Rand) *Sampled {
+	return c.generate(rng, c.envelope())
+}
+
+// envelope is the diurnal half-sine (sunrise to sunset) at every sample of
+// the trace. It depends only on the config, so a caller generating several
+// base traces computes it once.
+func (c SolarConfig) envelope() []float64 {
 	if c.Step <= 0 || c.DayEnd <= c.DayStart {
 		panic("energytrace: invalid solar config")
 	}
 	n := int((c.DayEnd - c.DayStart) / c.Step)
-	tr := NewSampled(c.Step, n)
-
 	dayLen := float64(c.DayEnd - c.DayStart)
+	env := make([]float64, n)
+	for i := range env {
+		t := float64(i) * float64(c.Step)
+		env[i] = math.Sin(math.Pi * t / dayLen)
+	}
+	return env
+}
+
+// generate synthesises one base trace over env, the config's envelope.
+func (c SolarConfig) generate(rng *rand.Rand, env []float64) *Sampled {
+	tr := NewSampled(c.Step, len(env))
+
 	covered := rng.Float64() < 0.5
 	dwell := c.nextDwell(rng, covered)
 
-	for i := 0; i < n; i++ {
-		t := float64(i) * float64(c.Step)
-		// Diurnal half-sine envelope.
-		envelope := math.Sin(math.Pi * t / dayLen)
+	for i, envelope := range env {
 		p := float64(c.Peak) * envelope
 
 		// Cloud telegraph process.
@@ -138,15 +152,16 @@ func (c SolarConfig) nextDwell(rng *rand.Rand, covered bool) units.Duration {
 // effectively independent. segment is the shuffled-chunk length.
 func IndependentSet(cfg SolarConfig, nodes int, segment units.Duration, rng *rand.Rand) []*Sampled {
 	const poolSize = 8
+	env := cfg.envelope()
 	pool := make([]*Sampled, poolSize)
 	for i := range pool {
-		pool[i] = cfg.Generate(rng)
+		pool[i] = cfg.generate(rng, env)
 	}
 	segSamples := int(segment / cfg.Step)
 	if segSamples <= 0 {
 		panic("energytrace: segment shorter than step")
 	}
-	total := len(pool[0].Samples)
+	total := len(env)
 	if segSamples > total {
 		segSamples = total
 	}
@@ -156,18 +171,15 @@ func IndependentSet(cfg SolarConfig, nodes int, segment units.Duration, rng *ran
 
 	out := make([]*Sampled, nodes)
 	for n := 0; n < nodes; n++ {
-		parts := make([]*Sampled, 0, total/segSamples+1)
-		have := 0
-		for have < total {
+		tr := NewSampled(cfg.Step, total)
+		for have := 0; have < total; have += segSamples {
 			src := pool[rng.Intn(poolSize)]
 			// Pick a random aligned segment from the source so that the
-			// diurnal phase is scrambled between nodes.
+			// diurnal phase is scrambled between nodes. The last segment
+			// is cut at the trace length.
 			at := rng.Intn(maxStart+1) * segSamples
-			parts = append(parts, src.Slice(at, at+segSamples))
-			have += segSamples
+			copy(tr.Samples[have:], src.Samples[at:at+segSamples])
 		}
-		tr := Concat(parts...)
-		tr.Samples = tr.Samples[:total]
 		out[n] = tr
 	}
 	return out

@@ -262,6 +262,8 @@ func TestRoutedMatchesDirect(t *testing.T) {
 		`{"kind":"bogus"}`,
 		`{"kind":"simulate","experiment":"x"}`,
 		`not json at all`,
+		`{"config":{"nodez":3}}`, // routes to the default config's owner
+		simBody(11) + ` trailing-garbage`,
 	} {
 		dCode, _, dRaw := post(t, dts.URL, bad)
 		rCode, _, rRaw := post(t, c.ts.URL, bad)

@@ -81,7 +81,6 @@ func Assign(a, b []int, maxTime int) ([]Side, int, error) {
 				}
 			}
 			p[i][k] = best
-			_ = inf
 		}
 	}
 
@@ -109,6 +108,36 @@ func Assign(a, b []int, maxTime int) ([]Side, int, error) {
 		}
 	}
 	return out, minTime, nil
+}
+
+// uniformSplit is Assign's left count for m identical tasks taking ta ticks
+// on the left and tb on the right, after the same quantise(…, maxTime,
+// limit) step the Distributed balancer applies. ok is false exactly where
+// Assign would return an error. With uniform inputs the DP table has the
+// closed form p[i][k] = tb·max(0, k−⌊i/ta⌋), the backtrack sends a task
+// left whenever i ≥ ta, and the first makespan argmin lies on some
+// i = j·ta, so the answer is the first j in [0, min(m, ⌊maxTime/ta⌋)]
+// minimising max(j·ta, tb·(m−j)) — O(m) instead of O(m·maxTime).
+// DESIGN.md has the proof.
+func uniformSplit(m, ta, tb, maxTime, limit int) (left int, ok bool) {
+	if maxTime > limit {
+		scale := (maxTime + limit - 1) / limit
+		ta, tb, maxTime = maxInt(1, ta/scale), maxInt(1, tb/scale), maxTime/scale
+	}
+	if m == 0 {
+		return 0, true
+	}
+	if ta <= 0 || tb <= 0 || maxTime <= 0 {
+		return 0, false
+	}
+	// j·ta ≤ min(m·ta, maxTime), Assign's table height.
+	best := -1
+	for j := 0; j <= min(m, maxTime/ta); j++ {
+		if t := max(j*ta, tb*(m-j)); best < 0 || t < best {
+			best, left = t, j
+		}
+	}
+	return left, true
 }
 
 // Makespan evaluates an assignment: the max of total left and right time.

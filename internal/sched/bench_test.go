@@ -49,3 +49,25 @@ func benchPlan(b *testing.B, bal Balancer) {
 func BenchmarkPlanNone(b *testing.B)        { benchPlan(b, NoBalance{}) }
 func BenchmarkPlanTree(b *testing.B)        { benchPlan(b, BaselineTree{}) }
 func BenchmarkPlanDistributed(b *testing.B) { benchPlan(b, Distributed{}) }
+
+// BenchmarkPlanScratchDistributedFig13Shape is the simulator's hot path in
+// the low-power regimes: PlanWith over a reused scratch with alternating
+// deep-backlog and idle nodes, so each overloaded node hands Algorithm 1 a
+// leftover of 64 tasks against a 12000-tick budget (a 255-tick quantised
+// table for the reference DP).
+func BenchmarkPlanScratchDistributedFig13Shape(b *testing.B) {
+	nodes := make([]NodeLoad, 16)
+	for i := range nodes {
+		nodes[i] = NodeLoad{Alive: true, Capacity: 8, TicksPerTask: 1500 + 250*i}
+		if i%2 == 0 {
+			nodes[i].Tasks, nodes[i].Capacity = 70, 6
+		}
+	}
+	bal := Distributed{}
+	var s Scratch
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	for b.Loop() {
+		PlanWith(bal, &s, nodes, 12000, 0, rng)
+	}
+}

@@ -1,36 +1,23 @@
 package sched
 
 import (
-	"errors"
-	"fmt"
 	"math/rand"
 )
 
-var errNonPositiveMaxTime = errors.New("sched: non-positive maxTime")
-
-func errMismatched(n, m int) error {
-	return fmt.Errorf("sched: mismatched task arrays (%d vs %d)", n, m)
-}
-
-func errNonPositiveTask(k int) error {
-	return fmt.Errorf("sched: non-positive task time at %d", k)
-}
-
 // Scratch holds the working buffers a balancing round needs, so that a
 // caller running many rounds (the simulator runs one per slot) can reuse
-// them instead of re-allocating. A Scratch is owned by exactly one caller
-// at a time: balancers never retain references to its buffers past the
-// PlanScratch call, and the returned Plan never aliases scratch memory, so
-// plans remain valid after the scratch is reused. The zero value is ready
-// to use; buffers grow on demand and are kept at high-water size.
+// them instead of re-allocating: the Distributed balancer's spare/speed
+// state and the BaselineTree's task, visibility and share bookkeeping.
+// A Scratch is owned by exactly one caller at a time: balancers never
+// retain references to its buffers past the PlanScratch call, and the
+// returned Plan never aliases scratch memory, so plans remain valid after
+// the scratch is reused. The zero value is ready to use; buffers grow on
+// demand and are kept at high-water size.
 //
 // Scratch is not safe for concurrent use. Fleet-style callers must give
 // each goroutine its own Scratch (see internal/sim's per-run arena).
 type Scratch struct {
 	spare, speed  []int
-	a, b, qa, qb  []int
-	sides         []Side
-	dp            []int // flat (sa+1)×(n+1) DP table for assignInto
 	tasks, shares []int
 	up            []bool
 	vis           []int
@@ -96,9 +83,10 @@ func (l *Lease) PlanScratch(s *Scratch, nodes []NodeLoad, maxTime int, interrupt
 }
 
 // PlanScratch implements ScratchPlanner. The round is computed exactly as
-// Plan does — same candidate scan, same quantisation, same DP recurrence,
-// same RNG draws — with the working arrays (spare/speed, per-node task-time
-// vectors, and the Algorithm 1 table) drawn from the scratch.
+// Plan does — same candidate scan, same quantisation, same RNG draws — with
+// spare/speed drawn from the scratch. Plan hands Algorithm 1 uniform task
+// vectors and keeps only the left count, so this path asks uniformSplit
+// for that count instead of building the vectors and the DP table.
 func (d Distributed) PlanScratch(s *Scratch, nodes []NodeLoad, maxTime int, interruption float64, rng *rand.Rand) Plan {
 	rounds := d.MaxRounds
 	if rounds <= 0 {
@@ -138,32 +126,18 @@ func (d Distributed) PlanScratch(s *Scratch, nodes []NodeLoad, maxTime int, inte
 				continue
 			}
 			m := p.Leftover[i]
-			s.a = growInts(s.a, m)
-			s.b = growInts(s.b, m)
-			a, b := s.a, s.b
-			for k := 0; k < m; k++ {
-				a[k] = sideTicks(speed, left)
-				b[k] = sideTicks(speed, right)
-			}
-			quantA, quantB, quantMax := quantiseInto(s, a, b, maxTime, 256)
-			sides, _, err := assignInto(s, quantA, quantB, quantMax)
-			if err != nil {
+			wantLeft, ok := uniformSplit(m, sideTicks(speed, left), sideTicks(speed, right), maxTime, 256)
+			if !ok {
 				continue
 			}
-			var wantLeft, wantRight int
-			for _, sd := range sides {
-				if sd == Left {
-					wantLeft++
-				} else {
-					wantRight++
-				}
-			}
+			// One side may be absent: everything falls to the other.
 			if left == -1 {
-				wantRight, wantLeft = wantLeft+wantRight, 0
+				wantLeft = 0
 			}
 			if right == -1 {
-				wantLeft, wantRight = wantLeft+wantRight, 0
+				wantLeft = m
 			}
+			wantRight := m - wantLeft
 			moved = d.give(&p, spare, i, left, wantLeft) || moved
 			moved = d.give(&p, spare, i, right, wantRight) || moved
 		}
@@ -172,99 +146,6 @@ func (d Distributed) PlanScratch(s *Scratch, nodes []NodeLoad, maxTime int, inte
 		}
 	}
 	return p
-}
-
-// quantiseInto is quantise with the output vectors drawn from the scratch.
-// Like quantise it returns the inputs untouched when no rescaling is needed.
-func quantiseInto(s *Scratch, a, b []int, maxTime, limit int) ([]int, []int, int) {
-	if maxTime <= limit {
-		return a, b, maxTime
-	}
-	scale := (maxTime + limit - 1) / limit
-	s.qa = growInts(s.qa, len(a))
-	s.qb = growInts(s.qb, len(b))
-	qa, qb := s.qa, s.qb
-	for k := range a {
-		qa[k] = maxInt(1, a[k]/scale)
-		qb[k] = maxInt(1, b[k]/scale)
-	}
-	return qa, qb, maxTime / scale
-}
-
-// assignInto is Assign over a flat, reusable DP table. The recurrence,
-// tie-breaking, and backtrack are byte-for-byte the same as Assign; only
-// the table's storage differs. Cells in column k=0 are the only ones read
-// before being written, so reuse just re-zeroes that column.
-func assignInto(s *Scratch, a, b []int, maxTime int) ([]Side, int, error) {
-	n := len(a)
-	if len(b) != n {
-		return nil, 0, errMismatched(n, len(b))
-	}
-	if n == 0 {
-		return nil, 0, nil
-	}
-	for k := 0; k < n; k++ {
-		if a[k] <= 0 || b[k] <= 0 {
-			return nil, 0, errNonPositiveTask(k)
-		}
-	}
-	if maxTime <= 0 {
-		return nil, 0, errNonPositiveMaxTime
-	}
-
-	sa := 0
-	for _, v := range a {
-		sa += v
-	}
-	if sa > maxTime {
-		sa = maxTime
-	}
-
-	const inf = int(^uint(0) >> 2)
-	w := n + 1 // row width; p[i][k] lives at dp[i*w+k]
-	s.dp = growInts(s.dp, (sa+1)*w)
-	dp := s.dp
-	for i := 0; i <= sa; i++ {
-		dp[i*w] = 0 // column 0: empty prefix
-	}
-	for i := 0; i <= sa; i++ {
-		row := dp[i*w:]
-		for k := 1; k <= n; k++ {
-			best := row[k-1] + b[k-1]
-			if i >= a[k-1] {
-				if alt := dp[(i-a[k-1])*w+k-1]; alt < best {
-					best = alt
-				}
-			}
-			row[k] = best
-		}
-	}
-
-	minTime, bestI := inf, 0
-	for i := 0; i <= sa; i++ {
-		temp := dp[i*w+n]
-		if i > temp {
-			temp = i
-		}
-		if temp < minTime {
-			minTime, bestI = temp, i
-		}
-	}
-
-	if cap(s.sides) < n {
-		s.sides = make([]Side, n)
-	}
-	out := s.sides[:n]
-	i := bestI
-	for k := n; k >= 1; k-- {
-		if i >= a[k-1] && dp[(i-a[k-1])*w+k-1] <= dp[i*w+k-1]+b[k-1] {
-			out[k-1] = Left
-			i -= a[k-1]
-		} else {
-			out[k-1] = Right
-		}
-	}
-	return out, minTime, nil
 }
 
 // PlanScratch implements ScratchPlanner. The tree walk, RNG draws, and

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"mime"
 	"net/http"
 	"strconv"
@@ -175,10 +176,17 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusUnsupportedMediaType, "unsupported Content-Type %q (want application/json)", mt)
 		return
 	}
+	// Strict: a misspelt field must not be served as a default-valued
+	// experiment, and the body must be exactly one JSON value.
 	var req Request
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		return
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		writeError(w, http.StatusBadRequest, "bad request body: trailing data after JSON value")
 		return
 	}
 	norm, key, err := normalizeRequest(req)
